@@ -41,11 +41,12 @@ type CostModel struct {
 func (m CostModel) Score(ins []policy.StreamInput, allocs map[stream.ID]streamcache.Allocation) float64 {
 	var total float64
 	var accTotal uint64
+	var gv groupView
 	for _, in := range accessedByID(ins) {
 		a, ok := allocs[in.SID]
 		groups := 0
 		if ok {
-			groups = len(a.GroupIDs())
+			groups = gv.load(a)
 		}
 		curve := in.Curve
 		if groups > 1 && len(in.LocalCurve.Points) > 0 {
@@ -57,11 +58,13 @@ func (m CostModel) Score(ins []policy.StreamInput, allocs map[stream.ID]streamca
 			mr := 1.0
 			hitNet := 0.0
 			if ok && groups > 0 && u < len(a.Groups) {
-				g := a.Groups[u]
-				groupBytes := int64(a.GroupRows(g)) * int64(m.RowBytes)
-				if groupBytes > 0 {
-					mr = curve.MissRateAt(groupBytes)
-					hitNet = m.nearestNS(u, a, g)
+				g := &gv.byID[a.Groups[u]]
+				if groupBytes := int64(g.rows) * int64(m.RowBytes); groupBytes > 0 {
+					if !g.mrOK {
+						g.mr, g.mrOK = curve.MissRateAt(groupBytes), true
+					}
+					mr = g.mr
+					hitNet = m.nearestNS(u, g.units)
 				}
 			}
 			cost := mr*m.MissNS + (1-mr)*(m.DramHitNS+hitNet)
@@ -75,14 +78,53 @@ func (m CostModel) Score(ins []policy.StreamInput, allocs map[stream.ID]streamca
 	return total / float64(accTotal)
 }
 
-// nearestNS is the interconnect latency from accessor u to the nearest
-// unit of group g holding rows.
-func (m CostModel) nearestNS(u int, a streamcache.Allocation, g uint8) float64 {
-	best := -1.0
-	for v := range a.Shares {
-		if a.Shares[v] == 0 || a.Groups[v] != g {
-			continue
+// groupView summarizes one stream's allocation per replication group,
+// so Score scans the units once per stream instead of once per accessor.
+type groupView struct {
+	byID [256]groupSummary
+	used []uint8 // group ids touched by the last load
+}
+
+// groupSummary is one replication group of the loaded allocation.
+type groupSummary struct {
+	rows  uint64  // Allocation.GroupRows
+	units []int   // units holding rows, ascending
+	mr    float64 // miss rate at the group's capacity, once mrOK
+	mrOK  bool
+	seen  bool // listed in groupView.used
+}
+
+// load summarizes a and returns its number of groups holding rows
+// (len(a.GroupIDs())).
+func (v *groupView) load(a streamcache.Allocation) int {
+	for _, id := range v.used {
+		v.byID[id] = groupSummary{units: v.byID[id].units[:0]}
+	}
+	v.used = v.used[:0]
+	groups := 0
+	for u, s := range a.Shares {
+		id := a.Groups[u]
+		g := &v.byID[id]
+		if !g.seen {
+			g.seen = true
+			v.used = append(v.used, id)
 		}
+		g.rows += uint64(s)
+		if s > 0 {
+			if len(g.units) == 0 {
+				groups++
+			}
+			g.units = append(g.units, u)
+		}
+	}
+	return groups
+}
+
+// nearestNS is the interconnect latency from accessor u to the nearest
+// of the given units.
+func (m CostModel) nearestNS(u int, units []int) float64 {
+	best := -1.0
+	for _, v := range units {
 		lat := 0.0
 		if m.NetNS != nil {
 			lat = m.NetNS(u, v)

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"ndpext/internal/policy"
+	"ndpext/internal/sampler"
 	"ndpext/internal/stream"
 	"ndpext/internal/streamcache"
 )
@@ -84,6 +85,10 @@ func sizeByLookahead(in ConfigInput, streams []policy.StreamInput, degreeOf func
 		}
 		return t
 	}
+	curves := make([]sampler.CurveIndex, len(streams))
+	for i := range streams {
+		curves[i] = streams[i].Curve.Index()
+	}
 	var used uint64
 	for {
 		best := cand{idx: -1}
@@ -99,12 +104,13 @@ func sizeByLookahead(in ConfigInput, streams []policy.StreamInput, degreeOf func
 			}
 			// Current per-copy capacity in bytes.
 			cur := int64(rows[s.SID]) * int64(in.RowBytes) / int64(deg)
-			mrCur := s.Curve.MissRateAt(cur)
-			for _, p := range s.Curve.Points {
+			curve := &curves[i]
+			mrCur := curve.MissRateAt(cur)
+			for _, p := range curve.Points() {
 				if p.Bytes <= cur {
 					continue
 				}
-				d := mrCur - s.Curve.MissRateAt(p.Bytes)
+				d := mrCur - curve.MissRateAt(p.Bytes)
 				if d <= 0 {
 					continue
 				}

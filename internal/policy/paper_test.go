@@ -20,13 +20,12 @@ func TestUtilityWorkedExample(t *testing.T) {
 		},
 		MaxGroups: 64,
 	}}
-	in := &StreamInput{SID: 1, Acc: map[int]uint64{0: 1, 1: 1}}
 	g := &grp{
-		rows:      map[int]uint32{0: 60, 1: 40},
+		rows:      []unitRows{{0, 60}, {1, 40}},
 		accessors: []int{0, 1},
 		anchor:    0,
 	}
-	if got := o.utility(in, g); math.Abs(got-190) > 1e-9 {
+	if got := o.utility(g); math.Abs(got-190) > 1e-9 {
 		t.Fatalf("utility = %v, want 190 (paper's worked example)", got)
 	}
 }
@@ -45,13 +44,12 @@ func TestExtendedUtilityWorkedExample(t *testing.T) {
 		},
 		MaxGroups: 64,
 	}}
-	in := &StreamInput{SID: 1, Acc: map[int]uint64{0: 1, 1: 1}}
 	g := &grp{
-		rows:      map[int]uint32{0: 60, 1: 40, 2: 20}, // extended to unit C
-		accessors: []int{0, 1},                         // C does not access the stream
+		rows:      []unitRows{{0, 60}, {1, 40}, {2, 20}}, // extended to unit C
+		accessors: []int{0, 1},                           // C does not access the stream
 		anchor:    0,
 	}
-	if got := o.utility(in, g); math.Abs(got-226) > 1e-9 {
+	if got := o.utility(g); math.Abs(got-226) > 1e-9 {
 		t.Fatalf("extended utility = %v, want 226 (paper's worked example)", got)
 	}
 }
@@ -71,11 +69,10 @@ func TestMergedUtilityDirection(t *testing.T) {
 		},
 		MaxGroups: 64,
 	}}
-	in := &StreamInput{SID: 1, Acc: map[int]uint64{0: 1, 1: 1, 2: 1}}
-	a := &grp{rows: map[int]uint32{0: 60, 1: 40}, accessors: []int{0, 1}, anchor: 0}
-	b := &grp{rows: map[int]uint32{2: 100}, accessors: []int{2}, anchor: 2}
-	before := o.utility(in, a) + o.utility(in, b)
-	merged := o.mergedUtility(in, a, b)
+	a := &grp{rows: []unitRows{{0, 60}, {1, 40}}, accessors: []int{0, 1}, anchor: 0}
+	b := &grp{rows: []unitRows{{2, 100}}, accessors: []int{2}, anchor: 2}
+	before := o.utility(a) + o.utility(b)
+	merged := o.mergedUtility(a, b)
 	if merged >= before {
 		t.Fatalf("merged utility %v not below separate %v", merged, before)
 	}

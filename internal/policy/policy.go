@@ -117,37 +117,62 @@ type Report struct {
 	Stalls         int
 }
 
+// unitRows is the rows one group holds at one unit.
+type unitRows struct {
+	unit int
+	rows uint32
+}
+
 // grp is one replication group of one stream during optimization.
 type grp struct {
-	rows      map[int]uint32 // unit -> rows held
-	accessors []int          // accessing units served by this group
-	anchor    int            // preferred allocation unit
+	rows      []unitRows // rows held, ascending by unit, every entry > 0
+	accessors []int      // accessing units served by this group
+	anchor    int        // preferred allocation unit
 	stalled   bool
-	dead      bool // merged away
+
+	// jump and slope memoize groupJump while memo is set. Whatever
+	// changes the group's rows or accessors, or the number of groups of
+	// its stream, clears memo (tryAlloc, merge).
+	memo  bool
+	jump  uint32
+	slope float64
 }
 
 func (g *grp) totalRows() uint64 {
 	var t uint64
-	for _, r := range g.rows {
-		t += uint64(r)
+	for _, ur := range g.rows {
+		t += uint64(ur.rows)
 	}
 	return t
+}
+
+// add gives g r more rows at unit u, keeping rows ascending by unit.
+func (g *grp) add(u int, r uint32) {
+	i := len(g.rows)
+	for i > 0 && g.rows[i-1].unit > u {
+		i--
+	}
+	if i > 0 && g.rows[i-1].unit == u {
+		g.rows[i-1].rows += r
+		return
+	}
+	g.rows = append(g.rows, unitRows{})
+	copy(g.rows[i+1:], g.rows[i:])
+	g.rows[i] = unitRows{unit: u, rows: r}
 }
 
 // st is the optimization state of one stream.
 type st struct {
 	in     *StreamInput
-	groups []*grp
+	groups []*grp             // live groups in creation order; merge drops the absorbed one
+	curve  sampler.CurveIndex // in.Curve: a single shared group
+	local  sampler.CurveIndex // in.localOrGlobal(): replicated groups
 }
 
-func (s *st) liveGroups() []*grp {
-	out := s.groups[:0:0]
-	for _, g := range s.groups {
-		if !g.dead {
-			out = append(out, g)
-		}
-	}
-	return out
+// planned is one group's jump in the round nextSteepest chose.
+type planned struct {
+	g    *grp
+	rows uint32
 }
 
 // optimizer carries the loop state.
@@ -157,15 +182,43 @@ type optimizer struct {
 	free       []int64 // rows free per unit
 	affineFree []int64 // affine budget remaining per unit
 	rep        Report
+
+	// Scratch reused by every call on the solve path; no two uses nest.
+	plan, cand []planned // jumps of the chosen stream / the stream being scored
+	mark       []bool    // per-unit flags for bestExtension and bestMerge
+	merged     grp       // mergedUtility's union group
 }
 
 // Optimize runs Algorithm 1 and returns the allocation per stream plus a
 // run report. Streams with no accesses receive no space.
 func Optimize(cfg Config, ins []StreamInput) (map[stream.ID]streamcache.Allocation, Report, error) {
-	if err := cfg.Validate(); err != nil {
+	o, err := newOptimizer(cfg, ins)
+	if err != nil {
 		return nil, Report{}, err
 	}
-	o := &optimizer{cfg: cfg}
+	maxIters := cfg.MaxIters
+	if maxIters <= 0 {
+		maxIters = 1 << 20
+	}
+	for o.rep.Iterations < maxIters {
+		s := o.nextSteepest()
+		if s == nil {
+			break
+		}
+		o.rep.Iterations++
+		o.allocateRound(s)
+	}
+	o.finalFill()
+	return o.emit(), o.rep, nil
+}
+
+// newOptimizer sets up the free-space budgets and the initial groups of
+// every accessed stream, ascending by stream ID.
+func newOptimizer(cfg Config, ins []StreamInput) (*optimizer, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	o := &optimizer{cfg: cfg, mark: make([]bool, cfg.NumUnits)}
 	o.free = make([]int64, cfg.NumUnits)
 	o.affineFree = make([]int64, cfg.NumUnits)
 	for u := range o.free {
@@ -196,21 +249,13 @@ func Optimize(cfg Config, ins []StreamInput) (map[stream.ID]streamcache.Allocati
 	}
 	// Deterministic order regardless of input map iteration.
 	sort.Slice(o.streams, func(i, j int) bool { return o.streams[i].in.SID < o.streams[j].in.SID })
+	return o, nil
+}
 
-	maxIters := cfg.MaxIters
-	if maxIters <= 0 {
-		maxIters = 1 << 20
-	}
-	for o.rep.Iterations < maxIters {
-		p := o.nextSteepest()
-		if p == nil {
-			break
-		}
-		o.rep.Iterations++
-		o.allocateRound(p)
-	}
-	o.finalFill()
-	return o.emit(), o.rep, nil
+// unitMarks returns the per-unit flag scratch, all false.
+func (o *optimizer) unitMarks() []bool {
+	clear(o.mark)
+	return o.mark
 }
 
 // finalFill spends leftover capacity after the utility-driven loop ends:
@@ -222,7 +267,7 @@ func Optimize(cfg Config, ins []StreamInput) (map[stream.ID]streamcache.Allocati
 func (o *optimizer) finalFill() {
 	// Floor: one segment at each group's anchor for empty streams.
 	for _, s := range o.streams {
-		for _, g := range s.liveGroups() {
+		for _, g := range s.groups {
 			if g.totalRows() == 0 {
 				o.allocAnywhere(s, g, o.cfg.SegRows)
 			}
@@ -236,7 +281,7 @@ func (o *optimizer) finalFill() {
 	}
 	var order []pair
 	for _, s := range o.streams {
-		for _, g := range s.liveGroups() {
+		for _, g := range s.groups {
 			order = append(order, pair{s, g})
 		}
 	}
@@ -284,9 +329,9 @@ func (o *optimizer) initStream(in *StreamInput, accTotal uint64) *st {
 	}
 	sort.Ints(accs)
 
-	s := &st{in: in}
+	s := &st{in: in, curve: in.Curve.Index(), local: in.localOrGlobal().Index()}
 	if !in.ReadOnly {
-		g := &grp{rows: map[int]uint32{}, accessors: accs, anchor: bestAnchor(in, accs)}
+		g := &grp{accessors: accs, anchor: bestAnchor(in, accs)}
 		s.groups = []*grp{g}
 		return s
 	}
@@ -295,7 +340,7 @@ func (o *optimizer) initStream(in *StreamInput, accTotal uint64) *st {
 	if k > o.cfg.MaxGroups {
 		k = o.cfg.MaxGroups
 	}
-	budget := o.replicaBudget(in, accTotal)
+	budget := o.replicaBudget(s, accTotal)
 	// Hysteresis: stick with the installed degree while the profile's
 	// preference stays within 2x of it.
 	if p := in.PrevGroups; p >= 1 && p <= k && budget >= (p+1)/2 && budget <= p*2 {
@@ -307,7 +352,7 @@ func (o *optimizer) initStream(in *StreamInput, accTotal uint64) *st {
 	for gi := 0; gi < k; gi++ {
 		lo, hi := gi*n/k, (gi+1)*n/k
 		members := accs[lo:hi]
-		g := &grp{rows: map[int]uint32{}, accessors: members, anchor: bestAnchor(in, members)}
+		g := &grp{accessors: members, anchor: bestAnchor(in, members)}
 		s.groups = append(s.groups, g)
 	}
 	return s
@@ -325,7 +370,8 @@ func (o *optimizer) initStream(in *StreamInput, accTotal uint64) *st {
 // Degree 1 (a single shared group) is evaluated on the global curve,
 // which includes cross-core reuse; higher degrees use the per-core curve,
 // because splitting the accessors destroys cross-core reuse.
-func (o *optimizer) replicaBudget(in *StreamInput, accTotal uint64) int {
+func (o *optimizer) replicaBudget(s *st, accTotal uint64) int {
+	in := s.in
 	if accTotal == 0 || o.cfg.NetLatNS == nil {
 		return 1
 	}
@@ -338,13 +384,12 @@ func (o *optimizer) replicaBudget(in *StreamInput, accTotal uint64) int {
 	if in.Footprint > 0 && share > 2*float64(in.Footprint) {
 		share = 2 * float64(in.Footprint)
 	}
-	local := in.localOrGlobal()
 
 	bestD, bestCost := 1, 0.0
 	for d := 1; d <= o.cfg.MaxGroups && d <= len(in.Acc); d *= 2 {
-		curve := local
+		curve := &s.local
 		if d == 1 {
-			curve = in.Curve
+			curve = &s.curve
 		}
 		mr := curve.MissRateAt(int64(share / float64(d)))
 		cost := mr*o.cfg.MissLatNS + (1-mr)*o.cfg.NetLatNS(d)
@@ -382,6 +427,9 @@ func groupAccesses(in *StreamInput, g *grp) uint64 {
 // the group's access count. Looking past the next segment matters because
 // miss curves plateau; this is the lookahead of Qureshi&Patt that
 // Algorithm 1's NextSteepestSlopeSeg builds on.
+//
+// The result depends only on g's rows and accessors and on whether s has
+// more than one group, so jumpOf memoizes it.
 func (o *optimizer) groupJump(s *st, g *grp) (jumpRows uint32, slope float64) {
 	rowB := int64(o.cfg.RowBytes)
 	cur := int64(g.totalRows()) * rowB
@@ -392,9 +440,9 @@ func (o *optimizer) groupJump(s *st, g *grp) (jumpRows uint32, slope float64) {
 	// A replicated group serves a slice of the cores, so its behaviour
 	// follows the per-core curve; a single shared group sees the global
 	// mix.
-	curve := s.in.Curve
-	if len(s.liveGroups()) > 1 {
-		curve = s.in.localOrGlobal()
+	curve := &s.curve
+	if len(s.groups) > 1 {
+		curve = &s.local
 	}
 	mrCur := curve.MissRateAt(cur)
 	maxJump := int64(o.cfg.UnitRows) * rowB
@@ -417,36 +465,39 @@ func (o *optimizer) groupJump(s *st, g *grp) (jumpRows uint32, slope float64) {
 		}
 	}
 	consider(cur + int64(o.cfg.SegRows)*rowB)
-	for _, p := range curve.Points {
+	for _, p := range curve.Points() {
 		consider(p.Bytes)
 	}
 	return jumpRows, slope
 }
 
-// roundPlan is the per-group allocation chosen by nextSteepest.
-type roundPlan struct {
-	s     *st
-	jumps map[*grp]uint32
-	slope float64
+// jumpOf is groupJump(s, g), recomputed only when g's memo is stale.
+func (o *optimizer) jumpOf(s *st, g *grp) (uint32, float64) {
+	if !g.memo {
+		g.jump, g.slope = o.groupJump(s, g)
+		g.memo = true
+	}
+	return g.jump, g.slope
 }
 
-// nextSteepest returns the stream with the steepest aggregate slope and
-// the per-group jumps to allocate, or nil when no stream can profit
-// (NextSteepestSlopeSeg in Algorithm 1).
-func (o *optimizer) nextSteepest() *roundPlan {
-	var best *roundPlan
+// nextSteepest returns the stream with the steepest aggregate slope,
+// leaving its per-group jumps in o.plan, or nil when no stream can
+// profit (NextSteepestSlopeSeg in Algorithm 1).
+func (o *optimizer) nextSteepest() *st {
+	var best *st
+	bestSlope := 0.0
 	for _, s := range o.streams {
 		var totGain, totRows float64
-		jumps := make(map[*grp]uint32)
-		for _, g := range s.liveGroups() {
+		o.cand = o.cand[:0]
+		for _, g := range s.groups {
 			if g.stalled {
 				continue
 			}
-			jump, slope := o.groupJump(s, g)
+			jump, slope := o.jumpOf(s, g)
 			if jump == 0 {
 				continue
 			}
-			jumps[g] = jump
+			o.cand = append(o.cand, planned{g: g, rows: jump})
 			totGain += slope * float64(jump)
 			totRows += float64(jump)
 		}
@@ -454,20 +505,21 @@ func (o *optimizer) nextSteepest() *roundPlan {
 			continue
 		}
 		agg := totGain / totRows
-		if agg > 1e-12 && (best == nil || agg > best.slope) {
-			best = &roundPlan{s: s, jumps: jumps, slope: agg}
+		if agg > 1e-12 && (best == nil || agg > bestSlope) {
+			best, bestSlope = s, agg
+			o.plan, o.cand = o.cand, o.plan
 		}
 	}
 	return best
 }
 
 // allocateRound gives stream s its planned jump in every unstalled group
-// (Algorithm 1 lines 5-21), extending or merging when space runs out.
-func (o *optimizer) allocateRound(p *roundPlan) {
-	s := p.s
-	for _, g := range s.liveGroups() {
-		seg, ok := p.jumps[g]
-		if !ok || g.stalled {
+// (Algorithm 1 lines 5-21), extending or merging when space runs out. A
+// group merged away during the round keeps its planned jump.
+func (o *optimizer) allocateRound(s *st) {
+	for _, p := range o.plan {
+		g, seg := p.g, p.rows
+		if g.stalled {
 			continue
 		}
 		if o.tryAlloc(s, g, g.anchor, seg) {
@@ -475,8 +527,8 @@ func (o *optimizer) allocateRound(p *roundPlan) {
 		}
 		// Try other units already in the group (no grouping change).
 		placed := false
-		for _, u := range sortedUnits(g.rows) {
-			if u != g.anchor && o.tryAlloc(s, g, u, seg) {
+		for _, ur := range g.rows {
+			if ur.unit != g.anchor && o.tryAlloc(s, g, ur.unit, seg) {
 				placed = true
 				break
 			}
@@ -502,8 +554,8 @@ func (o *optimizer) allocAnywhere(s *st, g *grp, seg uint32) bool {
 	if o.tryAlloc(s, g, g.anchor, seg) {
 		return true
 	}
-	for _, u := range sortedUnits(g.rows) {
-		if o.tryAlloc(s, g, u, seg) {
+	for _, ur := range g.rows {
+		if o.tryAlloc(s, g, ur.unit, seg) {
 			return true
 		}
 	}
@@ -523,21 +575,20 @@ func (o *optimizer) tryAlloc(s *st, g *grp, u int, seg uint32) bool {
 	if s.in.Affine {
 		o.affineFree[u] -= int64(seg)
 	}
-	g.rows[u] += seg
+	g.add(u, seg)
+	g.memo = false
 	o.rep.RowsAllocated += uint64(seg)
 	return true
 }
 
 // utility is the paper's group utility: every accessor values each unit's
 // rows attenuated by distance (§V-C worked example). Units are visited in
-// sorted order so the floating-point sum is deterministic (map order
-// would make near-tie decisions run-dependent).
-func (o *optimizer) utility(in *StreamInput, g *grp) float64 {
+// ascending order so the floating-point sum is deterministic.
+func (o *optimizer) utility(g *grp) float64 {
 	var util float64
-	units := sortedUnits(g.rows)
 	for _, a := range g.accessors {
-		for _, u := range units {
-			util += float64(g.rows[u]) * o.cfg.Attenuation(a, u)
+		for _, ur := range g.rows {
+			util += float64(ur.rows) * o.cfg.Attenuation(a, ur.unit)
 		}
 	}
 	return util
@@ -549,7 +600,7 @@ func (o *optimizer) utility(in *StreamInput, g *grp) float64 {
 // then retry the pending allocation.
 func (o *optimizer) extendOrMerge(s *st, g *grp, seg uint32) bool {
 	extU, extGain := o.bestExtension(s, g, seg)
-	mA, mB, mGain := o.bestMerge(s, g, seg)
+	owner, mA, mB, mGain := o.bestMerge(g, seg)
 
 	switch {
 	case extU >= 0 && (mA == nil || extGain >= mGain):
@@ -559,14 +610,15 @@ func (o *optimizer) extendOrMerge(s *st, g *grp, seg uint32) bool {
 		o.rep.Extends++
 		return true
 	case mA != nil:
-		o.merge(s, mA, mB)
+		// FOUND: owner may differ from s, yet merge refunds the affine budget by s.in.Affine and re-anchors with s.in.Acc.
+		o.merge(s, owner, mA, mB)
 		o.rep.Merges++
 		// Retry the pending allocation with the freed space.
 		if o.tryAlloc(s, g, g.anchor, seg) {
 			return true
 		}
-		for _, u := range sortedUnits(g.rows) {
-			if o.tryAlloc(s, g, u, seg) {
+		for _, ur := range g.rows {
+			if o.tryAlloc(s, g, ur.unit, seg) {
 				return true
 			}
 		}
@@ -580,13 +632,13 @@ func (o *optimizer) extendOrMerge(s *st, g *grp, seg uint32) bool {
 // (a unit may serve only one replication group per stream), returning the
 // unit and the utility gained by placing the segment there.
 func (o *optimizer) bestExtension(s *st, g *grp, seg uint32) (int, float64) {
-	taken := map[int]bool{}
-	for _, og := range s.liveGroups() {
+	taken := o.unitMarks()
+	for _, og := range s.groups {
 		if og == g {
 			continue
 		}
-		for u := range og.rows {
-			taken[u] = true
+		for _, ur := range og.rows {
+			taken[ur.unit] = true
 		}
 	}
 	bestU, bestAtt := -1, 0.0
@@ -628,25 +680,25 @@ func (o *optimizer) bestExtensionApply(s *st, g *grp, seg uint32) bool {
 
 // bestMerge finds the lowest-utility group (of any stream) holding rows
 // at one of g's units, pairs it with the nearest other group of the same
-// stream, and returns the pair plus the net utility change of merging and
-// then allocating the pending segment.
-func (o *optimizer) bestMerge(s *st, g *grp, seg uint32) (*grp, *grp, float64) {
-	gUnits := map[int]bool{g.anchor: true}
-	for u := range g.rows {
-		gUnits[u] = true
+// stream, and returns that stream, the pair, and the net utility change
+// of merging and then allocating the pending segment.
+func (o *optimizer) bestMerge(g *grp, seg uint32) (*st, *grp, *grp, float64) {
+	gUnits := o.unitMarks()
+	gUnits[g.anchor] = true
+	for _, ur := range g.rows {
+		gUnits[ur.unit] = true
 	}
 	var bestA, bestB *grp
-	var bestStream *st
+	var owner *st
 	bestUtil := 0.0
 	for _, os := range o.streams {
-		live := os.liveGroups()
-		if len(live) < 2 {
+		if len(os.groups) < 2 {
 			continue // merging needs two groups of the same stream
 		}
-		for _, cand := range live {
+		for _, cand := range os.groups {
 			holds := false
-			for u := range cand.rows {
-				if gUnits[u] && cand.rows[u] > 0 {
+			for _, ur := range cand.rows {
+				if gUnits[ur.unit] {
 					holds = true
 					break
 				}
@@ -654,18 +706,18 @@ func (o *optimizer) bestMerge(s *st, g *grp, seg uint32) (*grp, *grp, float64) {
 			if !holds {
 				continue
 			}
-			u := o.utility(os.in, cand)
+			u := o.utility(cand)
 			if bestA == nil || u < bestUtil {
-				bestA, bestUtil, bestStream = cand, u, os
+				bestA, bestUtil, owner = cand, u, os
 			}
 		}
 	}
 	if bestA == nil {
-		return nil, nil, 0
+		return nil, nil, nil, 0
 	}
 	// Nearest group of the same stream (highest anchor-to-anchor attenuation).
 	bestAtt := -1.0
-	for _, cand := range bestStream.liveGroups() {
+	for _, cand := range owner.groups {
 		if cand == bestA {
 			continue
 		}
@@ -675,22 +727,22 @@ func (o *optimizer) bestMerge(s *st, g *grp, seg uint32) (*grp, *grp, float64) {
 		}
 	}
 	if bestB == nil {
-		return nil, nil, 0
+		return nil, nil, nil, 0
 	}
 	// Net gain: merged utility minus the two old utilities, plus the
 	// pending allocation's utility at g's anchor once space is free.
-	before := o.utility(bestStream.in, bestA) + o.utility(bestStream.in, bestB)
-	after := o.mergedUtility(bestStream.in, bestA, bestB)
+	before := o.utility(bestA) + o.utility(bestB)
+	after := o.mergedUtility(bestA, bestB)
 	var allocGain float64
 	for _, a := range g.accessors {
 		allocGain += float64(seg) * o.cfg.Attenuation(a, g.anchor)
 	}
-	return bestA, bestB, after - before + allocGain
+	return owner, bestA, bestB, after - before + allocGain
 }
 
 // mergedUtility evaluates the utility of the union group at the
 // post-merge capacity (the larger copy's rows, spread proportionally).
-func (o *optimizer) mergedUtility(in *StreamInput, a, b *grp) float64 {
+func (o *optimizer) mergedUtility(a, b *grp) float64 {
 	ta, tb := a.totalRows(), b.totalRows()
 	keep := ta
 	if tb > ta {
@@ -701,19 +753,23 @@ func (o *optimizer) mergedUtility(in *StreamInput, a, b *grp) float64 {
 		return 0
 	}
 	scale := float64(keep) / float64(total)
-	merged := &grp{rows: map[int]uint32{}, accessors: append(append([]int{}, a.accessors...), b.accessors...)}
-	for u, r := range a.rows {
-		merged.rows[u] += uint32(float64(r) * scale)
+	m := &o.merged
+	m.accessors = append(append(m.accessors[:0], a.accessors...), b.accessors...)
+	m.rows = m.rows[:0]
+	for _, ur := range a.rows {
+		m.add(ur.unit, uint32(float64(ur.rows)*scale))
 	}
-	for u, r := range b.rows {
-		merged.rows[u] += uint32(float64(r) * scale)
+	for _, ur := range b.rows {
+		m.add(ur.unit, uint32(float64(ur.rows)*scale))
 	}
-	return o.utility(in, merged)
+	return o.utility(m)
 }
 
-// merge folds group b into group a, keeping max(|a|, |b|) rows spread
-// proportionally over both groups' units and freeing the rest.
-func (o *optimizer) merge(s *st, a, b *grp) {
+// merge folds group b of stream owner into its group a, keeping
+// max(|a|, |b|) rows spread proportionally over both groups' units and
+// freeing the rest. The affine refund and a's new anchor follow s, the
+// stream whose allocation asked for the merge.
+func (o *optimizer) merge(s, owner *st, a, b *grp) {
 	ta, tb := a.totalRows(), b.totalRows()
 	keep := ta
 	if tb > ta {
@@ -725,44 +781,45 @@ func (o *optimizer) merge(s *st, a, b *grp) {
 		scale = float64(keep) / float64(total)
 	}
 	shrink := func(g *grp) {
-		for _, u := range sortedUnits(g.rows) {
-			old := g.rows[u]
-			kept := uint32(float64(old) * scale)
-			freed := int64(old - kept)
-			o.free[u] += freed
+		kept := g.rows[:0]
+		for _, ur := range g.rows {
+			k := uint32(float64(ur.rows) * scale)
+			freed := int64(ur.rows - k)
+			o.free[ur.unit] += freed
 			if s.in.Affine {
-				o.affineFree[u] += freed
+				o.affineFree[ur.unit] += freed
 			}
-			o.rep.RowsAllocated -= uint64(old - kept)
-			if kept == 0 {
-				delete(g.rows, u)
-			} else {
-				g.rows[u] = kept
+			o.rep.RowsAllocated -= uint64(ur.rows - k)
+			if k > 0 {
+				kept = append(kept, unitRows{unit: ur.unit, rows: k})
 			}
 		}
+		g.rows = kept
 	}
 	shrink(a)
 	shrink(b)
-	for u, r := range b.rows {
-		a.rows[u] += r
+	for _, ur := range b.rows {
+		a.add(ur.unit, ur.rows)
 	}
 	a.accessors = append(a.accessors, b.accessors...)
 	sort.Ints(a.accessors)
 	a.anchor = bestAnchor(s.in, a.accessors)
 	a.stalled = false
-	b.dead = true
-	b.rows = map[int]uint32{}
+	b.rows = nil
 	b.accessors = nil
-}
-
-// sortedUnits returns the map's keys in ascending order (determinism).
-func sortedUnits(m map[int]uint32) []int {
-	out := make([]int, 0, len(m))
-	for u := range m {
-		out = append(out, u)
+	b.memo = false
+	for i, og := range owner.groups {
+		if og == b {
+			owner.groups = append(owner.groups[:i], owner.groups[i+1:]...)
+			break
+		}
 	}
-	sort.Ints(out)
-	return out
+	// a's rows and accessors changed, and owner lost a group: groupJump
+	// of each of owner's groups depends on that count (shared or per-core
+	// curve). owner is not s when bestMerge picked another stream's pair.
+	for _, g := range owner.groups {
+		g.memo = false
+	}
 }
 
 // emit converts the optimization state into remap-table allocations,
@@ -773,7 +830,7 @@ func (o *optimizer) emit() map[stream.ID]streamcache.Allocation {
 	nextRow := make([]uint32, o.cfg.NumUnits)
 	for _, s := range o.streams {
 		a := streamcache.NewAllocation(o.cfg.NumUnits)
-		live := s.liveGroups()
+		live := s.groups
 		// Unit -> group id for units holding rows or accessing.
 		owner := make([]int, o.cfg.NumUnits)
 		for u := range owner {
@@ -781,7 +838,8 @@ func (o *optimizer) emit() map[stream.ID]streamcache.Allocation {
 		}
 		replicated := len(live) > 1
 		for gi, g := range live {
-			for u, r := range g.rows {
+			for _, ur := range g.rows {
+				u, r := ur.unit, ur.rows
 				a.Shares[u] = r
 				a.RowBase[u] = nextRow[u]
 				nextRow[u] += r

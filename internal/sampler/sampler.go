@@ -295,36 +295,82 @@ type CurvePoint struct {
 // Jigsaw.
 type Curve struct {
 	ItemBytes int
-	Accesses  uint64 // total stream accesses in the epoch
-	Points    []CurvePoint
+	Accesses  uint64       // total stream accesses in the epoch
+	Points    []CurvePoint // ascending by Bytes (duplicates allowed)
 }
 
 // MissRateAt interpolates the miss rate at the given capacity
 // (linear in log-capacity between sampled points, clamped at the ends).
-// Zero capacity always misses.
+// Zero capacity always misses. Callers that look up one curve many
+// times use Index instead; both run the same interpolation.
 func (c Curve) MissRateAt(bytes int64) float64 {
+	return missRateAt(c.Points, nil, bytes)
+}
+
+// CurveIndex is a Curve prepared for repeated lookups: each point's
+// log-capacity is computed once. Its MissRateAt returns bit for bit
+// what the curve's own MissRateAt returns, because both call the same
+// routine and math.Log of a point's capacity is the same number whether
+// it is taken once here or at every lookup.
+type CurveIndex struct {
+	points []CurvePoint
+	logs   []float64 // logs[i] = math.Log(float64(points[i].Bytes))
+}
+
+// Index builds the curve's lookup index. The index shares the curve's
+// points, so the curve must not be modified while the index is in use.
+func (c Curve) Index() CurveIndex {
+	x := CurveIndex{points: c.Points, logs: make([]float64, len(c.Points))}
+	for i, p := range c.Points {
+		x.logs[i] = math.Log(float64(p.Bytes))
+	}
+	return x
+}
+
+// Points returns the indexed curve's points.
+func (x CurveIndex) Points() []CurvePoint { return x.points }
+
+// MissRateAt is Curve.MissRateAt over the index.
+func (x CurveIndex) MissRateAt(bytes int64) float64 {
+	return missRateAt(x.points, x.logs, bytes)
+}
+
+// missRateAt interpolates between the first point at or above bytes,
+// found by binary search, and its predecessor. logs, when non-nil, holds
+// each point's log-capacity.
+func missRateAt(pts []CurvePoint, logs []float64, bytes int64) float64 {
 	if bytes <= 0 {
 		return 1
 	}
-	if len(c.Points) == 0 {
+	if len(pts) == 0 {
 		return 1
 	}
-	if bytes <= c.Points[0].Bytes {
-		return c.Points[0].MissRate
+	if bytes <= pts[0].Bytes {
+		return pts[0].MissRate
 	}
-	last := c.Points[len(c.Points)-1]
+	last := pts[len(pts)-1]
 	if bytes >= last.Bytes {
 		return last.MissRate
 	}
-	for i := 1; i < len(c.Points); i++ {
-		if bytes <= c.Points[i].Bytes {
-			a, b := c.Points[i-1], c.Points[i]
-			f := (math.Log(float64(bytes)) - math.Log(float64(a.Bytes))) /
-				(math.Log(float64(b.Bytes)) - math.Log(float64(a.Bytes)))
-			return a.MissRate + f*(b.MissRate-a.MissRate)
+	// pts[0].Bytes < bytes < last.Bytes, so the point lies in [1, len-1].
+	lo, hi := 1, len(pts)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if pts[mid].Bytes < bytes {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return last.MissRate
+	a, b := pts[lo-1], pts[lo]
+	var la, lb float64
+	if logs != nil {
+		la, lb = logs[lo-1], logs[lo]
+	} else {
+		la, lb = math.Log(float64(a.Bytes)), math.Log(float64(b.Bytes))
+	}
+	f := (math.Log(float64(bytes)) - la) / (lb - la)
+	return a.MissRate + f*(b.MissRate-a.MissRate)
 }
 
 // MissesAt estimates the absolute epoch misses at the given capacity.
