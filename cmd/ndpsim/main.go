@@ -5,8 +5,7 @@
 // Usage:
 //
 //	ndpsim -workload pr -design NDPExt [-mem hbm|hmc] [-seed 1]
-//	       [-accesses 30000] [-scale 1.0] [-verbose] [-json]
-//	       [-parallel 4 [-parallel-mode pipeline|shard]]
+//	       [-accesses 30000] [-scale 1.0] [-verbose] [-json] [-serial]
 //	       [-record run.ndptrc] [-trace-sample 100 [-trace-out trace.jsonl]]
 //	       [-bandit-seed 7 -arms paper,greedy]   (NDPExt-MAB only)
 //
@@ -16,19 +15,17 @@
 // With -json, the run emits the canonical JSON result document — the
 // same bytes ndpserve caches and serves — as one object on stdout.
 //
-// With -parallel=N (N >= 2), the run uses the parallel execution modes
-// in internal/parallel: "pipeline" (the default) overlaps epoch
-// bookkeeping with simulation and is byte-identical to the serial run;
-// "shard" splits cores across N independent simulator instances and
-// merges, which is statistically equivalent within the declared
-// tolerance gate but not bit-exact.
+// The run is epoch-pipelined: each epoch's sampler and miss-curve
+// bookkeeping overlaps the simulation of the next epoch on a second
+// goroutine, and the output is byte-identical to the serial run. -serial
+// runs everything on one goroutine instead: the oracle the pipelined
+// output is compared against.
 //
 // With -record=FILE, every simulated memory access is captured into a
-// native trace file (see internal/trace) that replays byte-identically
-// via -load-trace, including runs under fault injection. -load-trace
-// accepts both native trace files (sniffed by magic, replayed with
-// bounded memory) and legacy gob traces; -save-trace writes the native
-// format unless the path ends in .gob.
+// trace file (see internal/trace) that replays byte-identically via
+// -load-trace, including runs under fault injection. -load-trace replays
+// with bounded memory; -save-trace writes the generated (or loaded)
+// workload and exits.
 //
 // With -trace-sample=N, every Nth simulated memory access is emitted as
 // a JSONL record (core, stream, level served, per-level latency in ns)
@@ -47,7 +44,6 @@ import (
 	"time"
 
 	"ndpext/internal/fault"
-	"ndpext/internal/parallel"
 	"ndpext/internal/server/result"
 	"ndpext/internal/stream"
 	"ndpext/internal/system"
@@ -71,8 +67,8 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the canonical JSON result document instead of text")
 	verbose := flag.Bool("verbose", false, "print per-component detail")
 	reconfig := flag.String("reconfig", "full", "reconfiguration mode: full, partial, static")
-	saveTrace := flag.String("save-trace", "", "write the generated trace to this file and exit (native format; .gob = legacy)")
-	loadTrace := flag.String("load-trace", "", "replay a trace file instead of generating (native or legacy gob)")
+	saveTrace := flag.String("save-trace", "", "write the generated trace to this file and exit")
+	loadTrace := flag.String("load-trace", "", "replay a trace file instead of generating")
 	record := flag.String("record", "", "capture every simulated access into this native trace file")
 	traceSample := flag.Uint64("trace-sample", 0, "emit every Nth access as a JSONL record (0 disables)")
 	traceOut := flag.String("trace-out", "-", "JSONL access trace destination (\"-\" = stdout)")
@@ -82,8 +78,7 @@ func main() {
 	arms := flag.String("arms", "", `NDPExt-MAB arm set, comma-separated (empty = all: "paper,static,greedy,replicate")`)
 	maxWall := flag.Duration("max-wall", 0, "abort after this much wall-clock time, flushing partial results (0 disables)")
 	maxCycles := flag.Int64("max-cycles", 0, "abort once simulated time passes this many core cycles (0 disables)")
-	parallelN := flag.Int("parallel", 1, "parallel workers: <=1 serial; pipeline mode uses one epoch worker, shard mode runs min(N, cores) shards")
-	parallelMode := flag.String("parallel-mode", "pipeline", `parallel strategy: "pipeline" (byte-identical to serial) or "shard" (statistically equivalent; see internal/parallel)`)
+	serial := flag.Bool("serial", false, "run on one goroutine instead of epoch-pipelined (same output; the oracle)")
 	flag.Parse()
 
 	if *list {
@@ -128,46 +123,30 @@ func main() {
 	cfg.MaxWall = *maxWall
 	cfg.MaxCycles = *maxCycles
 
-	// Load or generate the workload. Native trace files replay through
-	// the streaming source (bounded memory, any length); legacy gob
-	// traces and generated workloads are materialized.
+	// Load or generate the workload. Trace files replay through the
+	// streaming source (bounded memory, any length); generated workloads
+	// are materialized.
 	genStart := time.Now()
 	var (
 		tr  *workloads.Trace
 		src workloads.Source
 	)
 	if *loadTrace != "" {
-		if isNativeTrace(*loadTrace) {
-			r, err := trace.OpenFile(*loadTrace)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer r.Close()
-			if d != system.Host && r.Cores() != cfg.NumUnits() {
-				log.Fatalf("trace %q has %d cores, machine has %d units", *loadTrace, r.Cores(), cfg.NumUnits())
-			}
-			if *saveTrace != "" {
-				var err error
-				tr, err = r.Materialize()
-				if err != nil {
-					log.Fatal(err)
-				}
-			} else {
-				s, err := r.Source()
-				if err != nil {
-					log.Fatal(err)
-				}
-				src = s
-			}
+		r, err := trace.OpenFile(*loadTrace)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer r.Close()
+		if d != system.Host && r.Cores() != cfg.NumUnits() {
+			log.Fatalf("trace %q has %d cores, machine has %d units", *loadTrace, r.Cores(), cfg.NumUnits())
+		}
+		if *saveTrace != "" {
+			tr, err = r.Materialize()
 		} else {
-			var err error
-			tr, err = workloads.LoadFile(*loadTrace)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if d != system.Host && len(tr.PerCore) != cfg.NumUnits() {
-				log.Fatalf("trace %q has %d cores, machine has %d units", *loadTrace, len(tr.PerCore), cfg.NumUnits())
-			}
+			src, err = r.Source()
+		}
+		if err != nil {
+			log.Fatal(err)
 		}
 	} else {
 		gen, err := workloads.Get(*workload)
@@ -185,13 +164,7 @@ func main() {
 	genDur := time.Since(genStart)
 
 	if *saveTrace != "" {
-		var err error
-		if strings.HasSuffix(*saveTrace, ".gob") {
-			err = tr.SaveFile(*saveTrace)
-		} else {
-			err = trace.SaveFile(*saveTrace, tr)
-		}
-		if err != nil {
+		if err := trace.SaveFile(*saveTrace, tr); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("saved %s (%d accesses, %d streams) to %s\n",
@@ -243,18 +216,12 @@ func main() {
 		cfg.AttachProbe(rec)
 	}
 
-	pmode, err := parallel.ParseMode(*parallelMode)
-	if err != nil {
-		log.Fatal(err)
-	}
-	popts := parallel.Options{Workers: *parallelN, Mode: pmode}
-
 	simStart := time.Now()
 	var res *system.Result
 	if src != nil {
-		res, err = parallel.RunSource(context.Background(), cfg, src, popts)
+		res, err = system.RunSource(context.Background(), cfg, src, !*serial)
 	} else {
-		res, err = parallel.Run(context.Background(), cfg, tr, popts)
+		res, err = system.RunContext(context.Background(), cfg, tr, !*serial)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -339,21 +306,6 @@ func main() {
 				sr.SID, sr.Type, sr.ReadOnly, sr.Bytes, sr.KneeBytes, sr.Rows, sr.Groups, sr.Hits+sr.Misses, mr)
 		}
 	}
-}
-
-// isNativeTrace sniffs the native trace magic so -load-trace accepts
-// both formats transparently.
-func isNativeTrace(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var hdr [6]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil {
-		return false
-	}
-	return string(hdr[:]) == "NDPTRC"
 }
 
 // workloadIdentity returns the name and stream table of whichever

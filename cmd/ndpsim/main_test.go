@@ -60,8 +60,8 @@ func TestUnknownDesignListsValid(t *testing.T) {
 }
 
 // TestMABJSONSerialParallelIdentical: the canonical JSON document of an
-// adaptive run is byte-identical between the serial path and the
-// pipelined parallel path — the CLI-level determinism fence.
+// adaptive run is byte-identical between the -serial oracle and the
+// default epoch-pipelined run — the CLI-level determinism fence.
 func TestMABJSONSerialParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the binary and simulates")
@@ -69,13 +69,13 @@ func TestMABJSONSerialParallelIdentical(t *testing.T) {
 	bin := buildNdpsim(t)
 	args := []string{"-design", "ndpext-mab", "-workload", "recsys",
 		"-accesses", "4000", "-bandit-seed", "7", "-json"}
-	ser, err := exec.Command(bin, args...).Output()
+	ser, err := exec.Command(bin, append(args, "-serial")...).Output()
 	if err != nil {
 		t.Fatalf("serial run: %v", err)
 	}
-	par, err := exec.Command(bin, append(args, "-parallel", "2")...).Output()
+	par, err := exec.Command(bin, args...).Output()
 	if err != nil {
-		t.Fatalf("parallel run: %v", err)
+		t.Fatalf("pipelined run: %v", err)
 	}
 	if !bytes.Equal(ser, par) {
 		t.Fatalf("serial and pipelined documents differ:\n%s\nvs\n%s", ser, par)

@@ -2,6 +2,7 @@ package golden
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"ndpext/internal/server/result"
@@ -91,7 +92,7 @@ func TestGoldenRecordReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res3, err := system.RunSource(cfg3, src)
+			res3, err := system.RunSource(context.Background(), cfg3, src, false)
 			if err != nil {
 				t.Fatalf("streamed replay: %v", err)
 			}

@@ -5,52 +5,67 @@ import (
 	"context"
 	"testing"
 
+	"ndpext/internal/server/result"
 	"ndpext/internal/server/store"
+	"ndpext/internal/system"
+	"ndpext/internal/workloads"
 )
 
 // TestParallelSchedulerByteIdentical pins the property that lets the
-// serving layer enable -parallel at all: a pipelined-mode scheduler must
-// produce the same result document as a serial one, and — because the
-// cache key does not see the execution mode — a document computed under
-// one mode must be served as a cache hit to the other.
+// serving layer run every simulation epoch-pipelined: the scheduler's
+// document must equal the serial oracle's (system.Run over the same
+// spec), and — because the cache key does not see the execution mode — a
+// second scheduler over the same store must serve the spec as a cache
+// hit with the same bytes.
 func TestParallelSchedulerByteIdentical(t *testing.T) {
 	spec := JobSpec{Workload: "pr", Seed: 9, Accesses: 2000}
 
-	// Serial reference document from a scheduler with its own store.
-	serial := newTestScheduler(t, Options{Workers: 1})
-	defer serial.Drain(context.Background())
-	sj, err := serial.Submit(spec)
+	// Serial oracle: the trace built exactly as the scheduler builds it.
+	n := spec.normalize()
+	cfg, err := n.build(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitJob(t, sj)
-	if sj.Status().State != StateDone {
-		t.Fatalf("serial job failed: %s", sj.Status().Error)
+	gen, err := workloads.Get(n.Workload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := workloads.DefaultScale()
+	sc.AccessesPerCore = n.Accesses
+	sc.Mult = n.Scale
+	tr, err := gen(cfg.NumUnits(), n.Seed, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := system.Run(cfg, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := result.Encode(res)
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	// Pipelined scheduler over a fresh store, then a serial scheduler
-	// sharing that store: the second submission must hit the cache entry
-	// the pipelined run stored.
 	shared := newTestStore(t, store.Options{})
-	par := New(shared, nil, Options{Workers: 1, Parallel: 4})
-	par.Start()
-	defer par.Drain(context.Background())
-	pj, err := par.Submit(spec)
+	first := New(shared, nil, Options{Workers: 1})
+	first.Start()
+	defer first.Drain(context.Background())
+	j, err := first.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitJob(t, pj)
-	if pj.Status().State != StateDone {
-		t.Fatalf("pipelined job failed: %s", pj.Status().Error)
+	waitJob(t, j)
+	if st := j.Status(); st.State != StateDone {
+		t.Fatalf("job failed: %s", st.Error)
 	}
-	if !bytes.Equal(sj.Status().Result, pj.Status().Result) {
-		t.Fatal("pipelined scheduler produced a different result document than serial")
+	if !bytes.Equal(j.Status().Result, want) {
+		t.Fatal("pipelined scheduler produced a different result document than the serial oracle")
 	}
 
-	ser2 := New(shared, nil, Options{Workers: 1})
-	ser2.Start()
-	defer ser2.Drain(context.Background())
-	cj, err := ser2.Submit(spec)
+	second := New(shared, nil, Options{Workers: 1})
+	second.Start()
+	defer second.Drain(context.Background())
+	cj, err := second.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,9 +75,9 @@ func TestParallelSchedulerByteIdentical(t *testing.T) {
 		t.Fatalf("cached job failed: %s", st.Error)
 	}
 	if !st.CacheHit {
-		t.Fatal("serial submission missed the cache entry a pipelined run stored")
+		t.Fatal("second scheduler missed the cache entry the first stored")
 	}
-	if !bytes.Equal(st.Result, pj.Status().Result) {
-		t.Fatal("cache served different bytes than the pipelined run stored")
+	if !bytes.Equal(st.Result, want) {
+		t.Fatal("cache served different bytes than the serial oracle")
 	}
 }

@@ -68,13 +68,6 @@ type Options struct {
 	// Cluster nodes set a per-node prefix so IDs never collide across
 	// peers and a proxied lookup is unambiguous.
 	IDPrefix string
-	// Parallel >= 2 runs each simulation epoch-pipelined
-	// (system.RunPipelinedContext). Only the byte-identical pipeline mode
-	// is offered here: the content-addressed result cache requires every
-	// execution mode behind a key to produce the same document, which the
-	// golden parity suite proves for the pipeline and which shard mode's
-	// statistical equivalence cannot promise.
-	Parallel int
 }
 
 func (o Options) withDefaults() Options {
@@ -574,17 +567,15 @@ func (s *Scheduler) simulate(job *Job) ([]byte, error) {
 		runCtx, cancel = context.WithTimeout(runCtx, time.Duration(job.Spec.DeadlineMS)*time.Millisecond)
 		defer cancel()
 	}
+	// Every run is epoch-pipelined: the golden parity suite proves the
+	// pipeline byte-identical to the serial oracle, which the
+	// content-addressed result cache requires.
 	var res *system.Result
 	var err error
-	switch {
-	case s.opt.Parallel >= 2 && src != nil:
-		res, err = system.RunSourcePipelinedContext(runCtx, cfg, src)
-	case s.opt.Parallel >= 2:
-		res, err = system.RunPipelinedContext(runCtx, cfg, tr)
-	case src != nil:
-		res, err = system.RunSourceContext(runCtx, cfg, src)
-	default:
-		res, err = system.RunContext(runCtx, cfg, tr)
+	if src != nil {
+		res, err = system.RunSource(runCtx, cfg, src, true)
+	} else {
+		res, err = system.RunContext(runCtx, cfg, tr, true)
 	}
 	if err != nil {
 		if job.Spec.Trace != "" && errors.Is(err, trace.ErrCorrupt) {

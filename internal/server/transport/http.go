@@ -3,8 +3,8 @@
 // codes. It holds no scheduling or storage logic of its own — every
 // decision is delegated to the scheduler layer — and it is the only
 // serving-stack layer allowed to import net/http (enforced by an arch
-// test). That seam is where a sharded-cluster mode will later plug
-// consistent-hash forwarding without touching the engine.
+// test). The cluster layer (internal/cluster) plugs its consistent-hash
+// forwarding in at that seam without touching the engine.
 package transport
 
 import (

@@ -17,7 +17,7 @@ import (
 //
 // transport is the only layer allowed to import net/http; the engine
 // and persistence layers must stay HTTP-free so they can be driven
-// directly by tests, CLIs, or a future sharded-cluster fan-out.
+// directly by tests, CLIs, and the cluster layer.
 func TestLayering(t *testing.T) {
 	forbidden := map[string][]string{
 		"../scheduler": {"net/http", "ndpext/internal/server/transport",

@@ -27,7 +27,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 		lastSnap = ei.Counters.Accesses
 		cancel()
 	}
-	res, err := RunContext(ctx, cfg, tr.Clone())
+	res, err := RunContext(ctx, cfg, tr.Clone(), false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunContext error = %v, want context.Canceled", err)
 	}
@@ -54,7 +54,7 @@ func TestRunContextCancelMidRun(t *testing.T) {
 func TestRunContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunContext(ctx, smallConfig(NDPExt), tinyTrace(t, "pr"))
+	res, err := RunContext(ctx, smallConfig(NDPExt), tinyTrace(t, "pr"), false)
 	if !errors.Is(err, context.Canceled) || res != nil {
 		t.Fatalf("got (%v, %v), want (nil, context.Canceled)", res, err)
 	}
@@ -73,7 +73,7 @@ func TestRunContextCancelHost(t *testing.T) {
 			cancel()
 		}
 	})
-	res, err := RunContext(ctx, cfg, tr)
+	res, err := RunContext(ctx, cfg, tr, false)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("host RunContext error = %v, want context.Canceled", err)
 	}

@@ -110,34 +110,10 @@ type StreamReport struct {
 // designs only; empty otherwise).
 func (r *Result) StreamReports() []StreamReport { return r.streams }
 
-// Run simulates the trace on the configured machine.
+// Run simulates the trace on the configured machine (the serial
+// oracle every faster path is checked against).
 func Run(cfg Config, tr *workloads.Trace) (*Result, error) {
-	return RunContext(context.Background(), cfg, tr)
-}
-
-// RunContext is Run with cooperative cancellation: when ctx is canceled
-// mid-run the event loop stops at the next check point, partial
-// statistics are flushed exactly as for a tripped watchdog (Truncated
-// set, TruncateReason = "canceled"), and the partial Result is returned
-// ALONGSIDE ctx.Err(). Callers that only want clean aborts can ignore
-// the Result on error; callers that checkpoint (the serving layer) use
-// both.
-func RunContext(ctx context.Context, cfg Config, tr *workloads.Trace) (*Result, error) {
-	return runInput(ctx, cfg, traceInput(tr), false)
-}
-
-// RunSource simulates a streaming access source (e.g. a recorded trace
-// file replayed with bounded memory) on the configured machine.
-func RunSource(cfg Config, src workloads.Source) (*Result, error) {
-	return RunSourceContext(context.Background(), cfg, src)
-}
-
-// RunSourceContext is RunSource with cooperative cancellation
-// (RunContext's contract). The source is consumed; open a fresh one per
-// run. A source read error surfaces after the event loop alongside the
-// partial Result.
-func RunSourceContext(ctx context.Context, cfg Config, src workloads.Source) (*Result, error) {
-	return runInput(ctx, cfg, sourceInput(src), false)
+	return RunContext(context.Background(), cfg, tr, false)
 }
 
 // RunPipelined simulates the trace with the epoch pipeline: sampler and
@@ -149,24 +125,26 @@ func RunSourceContext(ctx context.Context, cfg Config, src workloads.Source) (*R
 // without epoch profiling (Host, NDPExtStatic, StaticInterleave) fall
 // back to the serial path.
 func RunPipelined(cfg Config, tr *workloads.Trace) (*Result, error) {
-	return RunPipelinedContext(context.Background(), cfg, tr)
+	return RunContext(context.Background(), cfg, tr, true)
 }
 
-// RunPipelinedContext is RunPipelined with cooperative cancellation
-// (RunContext's contract).
-func RunPipelinedContext(ctx context.Context, cfg Config, tr *workloads.Trace) (*Result, error) {
-	return runInput(ctx, cfg, traceInput(tr), true)
+// RunContext is Run (or RunPipelined, when pipelined is set) with
+// cooperative cancellation: when ctx is canceled mid-run the event loop
+// stops at the next check point, partial statistics are flushed exactly
+// as for a tripped watchdog (Truncated set, TruncateReason =
+// "canceled"), and the partial Result is returned ALONGSIDE ctx.Err().
+// Callers that only want clean aborts can ignore the Result on error;
+// callers that checkpoint (the serving layer) use both.
+func RunContext(ctx context.Context, cfg Config, tr *workloads.Trace, pipelined bool) (*Result, error) {
+	return runInput(ctx, cfg, traceInput(tr), pipelined)
 }
 
-// RunSourcePipelined is RunSource with the epoch pipeline (RunPipelined's
-// byte-identity contract).
-func RunSourcePipelined(cfg Config, src workloads.Source) (*Result, error) {
-	return RunSourcePipelinedContext(context.Background(), cfg, src)
-}
-
-// RunSourcePipelinedContext is RunSourceContext with the epoch pipeline.
-func RunSourcePipelinedContext(ctx context.Context, cfg Config, src workloads.Source) (*Result, error) {
-	return runInput(ctx, cfg, sourceInput(src), true)
+// RunSource is RunContext over a streaming access source (e.g. a
+// recorded trace file replayed with bounded memory). The source is
+// consumed; open a fresh one per run. A source read error surfaces after
+// the event loop alongside the partial Result.
+func RunSource(ctx context.Context, cfg Config, src workloads.Source, pipelined bool) (*Result, error) {
+	return runInput(ctx, cfg, sourceInput(src), pipelined)
 }
 
 // simInput is the normalized workload feed handed to the simulators:
@@ -668,7 +646,10 @@ func (s *ndpSim) finishStats() {
 	// energies are summed in registration (device) order so the floating-
 	// point result matches the pre-telemetry accumulation exactly.
 	ndpDram := reg.SumFloat("dram.unit")
-	staticMW := staticPowerMW(&s.cfg)
+	// Static power: every NDP unit's DRAM + core static power plus the
+	// extended memory's.
+	staticMW := float64(s.cfg.NumUnits())*(s.cfg.Mem.StaticMWPerU+s.cfg.CoreStaticMW) +
+		float64(s.cfg.CXL.Channels)*s.cfg.CXL.DRAM.StaticMWPerU
 	// SRAM access energy (§VI: the paper models SLB/ATA/samplers with
 	// CACTI; the baselines' metadata caches get the same treatment).
 	var sram float64
@@ -689,8 +670,16 @@ func (s *ndpSim) finishStats() {
 		CXLLinkPJ: reg.Float("cxl.link_energy_pj"),
 		SRAMPJ:    sram,
 	}
-	r.CacheHits = cacheHits(reg, s.sc != nil)
-	r.CacheMisses = cacheMisses(reg, s.sc != nil)
+	// The controllers' counters are the source of truth for hits and
+	// misses (the hot-path tallies track the same values).
+	if s.sc != nil {
+		r.CacheHits = reg.Uint("streamcache.hits")
+		r.CacheMisses = reg.Uint("streamcache.misses") +
+			reg.Uint("streamcache.no_space") + reg.Uint("streamcache.bypasses")
+	} else {
+		r.CacheHits = reg.Uint("nuca.hits")
+		r.CacheMisses = reg.Uint("nuca.misses")
+	}
 
 	for _, st := range s.table.All() {
 		sr := StreamReport{
@@ -712,33 +701,6 @@ func (s *ndpSim) finishStats() {
 		}
 		r.streams = append(r.streams, sr)
 	}
-}
-
-// cacheHits/cacheMisses read the authoritative controller counters from
-// the telemetry registry (the running tallies in the hot-path counters
-// track the same values; the controllers are the source of truth).
-func cacheHits(reg *telemetry.Registry, streamCache bool) uint64 {
-	if streamCache {
-		return reg.Uint("streamcache.hits")
-	}
-	return reg.Uint("nuca.hits")
-}
-
-func cacheMisses(reg *telemetry.Registry, streamCache bool) uint64 {
-	if streamCache {
-		return reg.Uint("streamcache.misses") +
-			reg.Uint("streamcache.no_space") + reg.Uint("streamcache.bypasses")
-	}
-	return reg.Uint("nuca.misses")
-}
-
-// staticPowerMW is the machine's static power draw: every NDP unit's
-// DRAM + core static power plus the extended memory's. Shared by
-// finishStats and the shard merge so both derive StaticPJ from the same
-// expression.
-func staticPowerMW(cfg *Config) float64 {
-	return float64(cfg.NumUnits())*(cfg.Mem.StaticMWPerU+cfg.CoreStaticMW) +
-		float64(cfg.CXL.Channels)*cfg.CXL.DRAM.StaticMWPerU
 }
 
 func (s *ndpSim) result() *Result { return &s.res }

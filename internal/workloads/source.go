@@ -6,8 +6,8 @@ import "ndpext/internal/stream"
 // fully materialized Trace. The simulator consumes each core's sequence
 // strictly in order, one access at a time, so a Source can stream
 // accesses from disk with bounded memory (internal/trace's replayer) or
-// synthesize them on the fly, while a materialized Trace adapts
-// trivially.
+// synthesize them on the fly. A materialized Trace does not need one:
+// the simulator reads its per-core slices directly.
 //
 // Sources are single-consumer: Next is only called from the simulation
 // goroutine, and a Source's cursors are consumed by one run (open a
@@ -27,29 +27,4 @@ type Source interface {
 	// or nil for clean exhaustion. Checked by the simulator after the
 	// event loop drains.
 	Err() error
-}
-
-// traceSource adapts a materialized Trace to the Source interface.
-type traceSource struct {
-	tr  *Trace
-	idx []int
-}
-
-// Source returns a fresh single-use Source view of the trace.
-func (t *Trace) Source() Source {
-	return &traceSource{tr: t, idx: make([]int, len(t.PerCore))}
-}
-
-func (s *traceSource) Name() string         { return s.tr.Name }
-func (s *traceSource) Table() *stream.Table { return s.tr.Table }
-func (s *traceSource) Cores() int           { return len(s.tr.PerCore) }
-func (s *traceSource) Err() error           { return nil }
-
-func (s *traceSource) Next(core int) (Access, bool) {
-	i := s.idx[core]
-	if i >= len(s.tr.PerCore[core]) {
-		return Access{}, false
-	}
-	s.idx[core] = i + 1
-	return s.tr.PerCore[core][i], true
 }

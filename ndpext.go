@@ -30,6 +30,7 @@ import (
 	"ndpext/internal/sim"
 	"ndpext/internal/stream"
 	"ndpext/internal/system"
+	"ndpext/internal/trace"
 	"ndpext/internal/workloads"
 )
 
@@ -123,12 +124,27 @@ func NewBuilder(name string, cores, accessesPerCore int) *Builder {
 	return workloads.NewBuilder(name, cores, accessesPerCore)
 }
 
-// SaveTrace writes a trace to a file so expensive generated workloads
-// can be replayed across runs; LoadTrace reads it back.
-func SaveTrace(tr *Trace, path string) error { return tr.SaveFile(path) }
+// SaveTrace writes a trace to a file in the recorded-trace format
+// (internal/trace) so expensive generated workloads can be replayed
+// across runs; LoadTrace reads it back.
+func SaveTrace(tr *Trace, path string) error { return trace.SaveFile(path, tr) }
 
-// LoadTrace reads a trace written by SaveTrace.
-func LoadTrace(path string) (*Trace, error) { return workloads.LoadFile(path) }
+// LoadTrace reads a trace written by SaveTrace. Its streams come back
+// freshly configured (read-only bits set), whatever state they were in
+// when the trace was saved. A missing file is reported with an error
+// for which os.IsNotExist holds.
+func LoadTrace(path string) (*Trace, error) {
+	r, err := trace.OpenFile(path)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	tr, err := r.Materialize()
+	if err != nil {
+		return nil, err
+	}
+	return tr.Clone(), nil
+}
 
 // Simulate runs the trace on the configured machine.
 func Simulate(cfg Config, tr *Trace) (*Result, error) {

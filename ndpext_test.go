@@ -1,6 +1,9 @@
 package ndpext_test
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ndpext"
@@ -104,5 +107,107 @@ func TestExperimentScales(t *testing.T) {
 	}
 	if len(f.Workloads) != 13 {
 		t.Fatalf("full scale covers %d workloads", len(f.Workloads))
+	}
+}
+
+// smallTrace is an 8-core pr trace (pr writes its rank vectors, so a run
+// clears read-only bits in its stream table).
+func smallTrace(t *testing.T) *ndpext.Trace {
+	t.Helper()
+	tr, err := ndpext.GenerateTraceN("pr", 8, 1, 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+func TestSaveLoadTraceRoundTrip(t *testing.T) {
+	tr := smallTrace(t)
+	path := filepath.Join(t.TempDir(), "pr.ndptrc")
+	if err := ndpext.SaveTrace(tr, path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ndpext.LoadTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Name != tr.Name {
+		t.Fatalf("name %q, want %q", got.Name, tr.Name)
+	}
+	if !reflect.DeepEqual(got.PerCore, tr.PerCore) {
+		t.Fatal("per-core access sequences changed in the round trip")
+	}
+	want := tr.Table.All()
+	streams := got.Table.All()
+	if len(streams) != len(want) {
+		t.Fatalf("%d streams, want %d", len(streams), len(want))
+	}
+	for i := range want {
+		if *streams[i] != *want[i] {
+			t.Fatalf("stream %d: got %+v, want %+v", i, *streams[i], *want[i])
+		}
+	}
+}
+
+// examples/tracereplay generates the trace when LoadTrace reports a
+// missing file, so that error must satisfy os.IsNotExist.
+func TestLoadTraceMissingIsNotExist(t *testing.T) {
+	_, err := ndpext.LoadTrace(filepath.Join(t.TempDir(), "absent.ndptrc"))
+	if !os.IsNotExist(err) {
+		t.Fatalf("missing file: err = %v, want os.IsNotExist", err)
+	}
+}
+
+// A file in the retired gob format (magic "NDPWL") is rejected with an
+// error, not a panic.
+func TestLoadTraceRejectsLegacyFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.trace")
+	if err := os.WriteFile(path, []byte("NDPWL\x01\x3f\xff\x81\x03\x01\x01"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if tr, err := ndpext.LoadTrace(path); err == nil {
+		t.Fatalf("legacy file accepted: %+v", tr)
+	}
+}
+
+// A trace saved after a run (whose writes cleared read-only bits in the
+// stream table) must load freshly configured, and simulate to the same
+// result as a fresh Clone of the original.
+func TestLoadTraceAfterRunIsFreshlyConfigured(t *testing.T) {
+	tr := smallTrace(t)
+	cfg := smallConfig(ndpext.DesignNDPExt)
+	want, err := ndpext.Simulate(cfg, tr.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ndpext.Simulate(cfg, tr); err != nil {
+		t.Fatal(err)
+	}
+	cleared := false
+	for _, s := range tr.Table.All() {
+		cleared = cleared || !s.ReadOnly
+	}
+	if !cleared {
+		t.Fatal("the run cleared no read-only bit; the test needs a trace with writes")
+	}
+	path := filepath.Join(t.TempDir(), "used.ndptrc")
+	if err := ndpext.SaveTrace(tr, path); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ndpext.LoadTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range loaded.Table.All() {
+		if !s.ReadOnly {
+			t.Fatalf("stream %d loaded with its read-only bit cleared", s.SID)
+		}
+	}
+	got, err := ndpext.Simulate(cfg, loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded trace simulated differently:\ngot  %+v\nwant %+v", got, want)
 	}
 }
